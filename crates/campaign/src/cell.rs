@@ -73,7 +73,7 @@ impl CellSpec {
             ("scenario", Json::Str(self.scenario.to_string())),
             ("cores", Json::Num(f64::from(self.cores))),
             ("instructions", Json::Num(self.instructions as f64)),
-            ("seed", Json::Num(self.seed as f64)),
+            ("seed", seed_to_json(self.seed)),
         ])
     }
 
@@ -81,8 +81,8 @@ impl CellSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on a missing field, an unknown workload, or an
-    /// unparsable scenario name.
+    /// Returns [`ConfigError`] on a missing field, an unknown workload, an
+    /// unparsable scenario name, or a seed that is present but unreadable.
     pub fn from_json(json: &Json) -> Result<Self, ConfigError> {
         let workload_name = json
             .get("workload")
@@ -103,9 +103,41 @@ impl CellSpec {
                 .get("instructions")
                 .and_then(Json::as_u64)
                 .unwrap_or(100_000),
-            seed: json.get("seed").and_then(Json::as_u64).unwrap_or(42),
+            seed: seed_from_json(json, 42)?,
         })
     }
+}
+
+/// Largest seed written as a JSON number: every integer up to 2^53 is exact
+/// in an `f64`, and keeping those seeds numeric leaves existing campaign ids
+/// and persisted specs byte-identical.
+const MAX_NUMERIC_SEED: u64 = 1 << 53;
+
+/// A seed as JSON: a number up to 2^53, a decimal string above (an `f64`
+/// would round it).
+fn seed_to_json(seed: u64) -> Json {
+    if seed <= MAX_NUMERIC_SEED {
+        Json::Num(seed as f64)
+    } else {
+        Json::Str(seed.to_string())
+    }
+}
+
+/// Reads `json`'s `"seed"` in either form [`seed_to_json`] writes;
+/// `default` when the field is absent.
+///
+/// # Errors
+///
+/// A seed that is present but neither an exact integer nor a decimal
+/// string is an error, never silently replaced by the default.
+fn seed_from_json(json: &Json, default: u64) -> Result<u64, ConfigError> {
+    let Some(value) = json.get("seed") else {
+        return Ok(default);
+    };
+    value
+        .as_u64()
+        .or_else(|| value.as_str().and_then(|s| s.parse().ok()))
+        .ok_or_else(|| ConfigError::new(format!("unreadable seed {}", value.to_compact())))
 }
 
 /// A client-submitted sweep: the cross product of workloads and scenarios.
@@ -235,7 +267,7 @@ impl SweepRequest {
             ),
             ("cores", Json::Num(f64::from(self.cores))),
             ("instructions", Json::Num(self.instructions as f64)),
-            ("seed", Json::Num(self.seed as f64)),
+            ("seed", seed_to_json(self.seed)),
         ])
     }
 
@@ -243,8 +275,9 @@ impl SweepRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `json` is not an object. (Name resolution
-    /// errors surface later, from [`SweepRequest::expand`].)
+    /// Returns [`ConfigError`] if `json` is not an object or carries a seed
+    /// that is present but unreadable. (Name resolution errors surface
+    /// later, from [`SweepRequest::expand`].)
     pub fn from_json(json: &Json) -> Result<Self, ConfigError> {
         if !matches!(json, Json::Obj(_)) {
             return Err(ConfigError::new("sweep request must be a JSON object"));
@@ -288,10 +321,7 @@ impl SweepRequest {
                 .get("instructions")
                 .and_then(Json::as_u64)
                 .unwrap_or(defaults.instructions),
-            seed: json
-                .get("seed")
-                .and_then(Json::as_u64)
-                .unwrap_or(defaults.seed),
+            seed: seed_from_json(json, defaults.seed)?,
         })
     }
 }
@@ -396,6 +426,50 @@ mod tests {
         let back = CellSpec::from_json(&cell.to_json()).unwrap();
         assert_eq!(back, cell);
         assert_eq!(back.key(), cell.key());
+    }
+
+    #[test]
+    fn seeds_above_two_pow_53_round_trip() {
+        let mut req = request();
+        req.seed = u64::MAX;
+        let json = req.to_json();
+        assert_eq!(
+            json.get("seed").and_then(Json::as_str),
+            Some("18446744073709551615")
+        );
+        let back = SweepRequest::from_json(&Json::parse(&json.to_pretty()).unwrap()).unwrap();
+        assert_eq!(back, req);
+        assert_eq!(back.id(), req.id());
+        let cell = req.expand().unwrap()[0];
+        let back = CellSpec::from_json(&Json::parse(&cell.to_json().to_compact()).unwrap());
+        assert_eq!(back.unwrap().seed, u64::MAX);
+        // At 2^53 and below the seed stays a number: ids are unchanged.
+        req.seed = 1 << 53;
+        assert!(matches!(req.to_json().get("seed"), Some(Json::Num(_))));
+        let back = SweepRequest::from_json(&req.to_json()).unwrap();
+        assert_eq!(back.seed, 1 << 53);
+    }
+
+    #[test]
+    fn unreadable_seeds_are_errors() {
+        for bad in [
+            r#"{"seed":-1}"#,
+            r#"{"seed":1.5}"#,
+            r#"{"seed":"x"}"#,
+            r#"{"seed":null}"#,
+        ] {
+            let json = Json::parse(bad).unwrap();
+            assert!(SweepRequest::from_json(&json).is_err(), "{bad}");
+        }
+        let cell = Json::parse(r#"{"workload":"mcf","scenario":"baseline-zen","seed":"1e3"}"#);
+        assert!(CellSpec::from_json(&cell.unwrap()).is_err());
+        // An absent seed still takes the default.
+        assert_eq!(
+            SweepRequest::from_json(&Json::parse("{}").unwrap())
+                .unwrap()
+                .seed,
+            42
+        );
     }
 
     #[test]

@@ -352,7 +352,14 @@ impl Daemon {
 
     /// Asks workers to stop after their current unit. Queued units are
     /// abandoned (they resume from the store on the next start).
+    ///
+    /// The flag is stored and the workers notified while holding the state
+    /// lock: a worker checks the flag and parks on `work_ready` under that
+    /// same lock, so it either sees the flag or is already waiting when the
+    /// notification fires — never in between, which would lose the wake-up
+    /// and hang [`Daemon::stop`].
     pub fn request_shutdown(&self) {
+        let _st = self.inner.state.lock().expect("state lock");
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.work_ready.notify_all();
     }
@@ -743,6 +750,99 @@ mod tests {
             .find(|c| c.get("status").and_then(Json::as_str) == Some("failed"))
             .unwrap();
         assert!(failed.get("error").and_then(Json::as_str).is_some());
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A seed above 2^53 survives the persisted spec: the restarted daemon
+    /// resumes the same campaign id over the same cells and recomputes
+    /// nothing (an `f64` seed used to come back as the default).
+    #[test]
+    fn max_seed_survives_restart() {
+        let dir = scratch("max-seed");
+        let daemon = Daemon::start(tiny_config(dir.clone())).unwrap();
+        let req = SweepRequest {
+            name: "max-seed".into(),
+            workloads: vec!["mcf".into()],
+            scenarios: vec!["baseline-zen".into()],
+            cores: 2,
+            instructions: 2_000,
+            seed: u64::MAX,
+            ..SweepRequest::default()
+        };
+        let outcome = daemon.submit(&req).unwrap();
+        wait_complete(&daemon, &outcome.id);
+        let key = req.expand().unwrap()[0].key();
+        daemon.stop();
+        let daemon2 = Daemon::start(tiny_config(dir.clone())).unwrap();
+        assert_eq!(daemon2.is_complete(&outcome.id), Some(true));
+        assert_eq!(daemon2.cells_computed(), 0, "nothing recomputed");
+        let ids: Vec<String> = daemon2
+            .campaigns()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(|c| c.get("id").and_then(Json::as_str).map(str::to_string))
+            .collect();
+        assert_eq!(ids, std::slice::from_ref(&outcome.id));
+        let manifest = daemon2.campaign_manifest(&outcome.id).unwrap();
+        let cells = manifest.get("cells").and_then(Json::as_arr).unwrap();
+        let spec = CellSpec::from_json(&cells[0]).unwrap();
+        assert_eq!((spec.seed, spec.key()), (u64::MAX, key));
+        daemon2.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression for a lost wake-up: an idle worker that had checked the
+    /// shutdown flag but not yet parked on `work_ready` used to miss the
+    /// notification, hanging `stop` forever. Starting and stopping idle
+    /// daemons back to back maximises that window; a watchdog turns a hang
+    /// into a failure instead of a stuck test run.
+    #[test]
+    fn idle_daemons_always_stop() {
+        let dir = scratch("idle-stop");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let store = dir.clone();
+        std::thread::spawn(move || {
+            for _ in 0..200 {
+                let daemon = Daemon::start(DaemonConfig {
+                    workers: 4,
+                    ..tiny_config(store.clone())
+                })
+                .unwrap();
+                daemon.stop();
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(120)).is_ok(),
+            "Daemon::stop hung on an idle worker pool"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The lost wake-up made deterministic: the test plays a worker that
+    /// has seen the flag clear under the state lock and is about to park.
+    /// A shutdown request racing in must not fire its notification into
+    /// that gap; it has to wait for the lock, so the parked "worker" is
+    /// woken instead of sleeping out its timeout.
+    #[test]
+    fn shutdown_wakes_a_worker_between_check_and_wait() {
+        let dir = scratch("check-wait");
+        let daemon = Daemon::start(tiny_config(dir.clone())).unwrap();
+        let st = daemon.inner.state.lock().unwrap();
+        assert!(!daemon.is_shutdown());
+        let requester = daemon.clone();
+        let handle = std::thread::spawn(move || requester.request_shutdown());
+        std::thread::sleep(Duration::from_millis(100));
+        let (st, wait) = daemon
+            .inner
+            .work_ready
+            .wait_timeout(st, Duration::from_secs(5))
+            .unwrap();
+        drop(st);
+        assert!(!wait.timed_out(), "shutdown notification was lost");
+        handle.join().unwrap();
         daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

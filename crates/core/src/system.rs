@@ -411,16 +411,14 @@ impl System {
             all_done = false;
         }
         self.uncore.tick(&mut self.mc, now);
-        // The stepped oracle ticks unconditionally; the event kernel lets the
-        // controller prove this step is a no-op for it (cached wakes all
-        // empty, device wake beyond `now`) and compensate the round-robin
-        // rotation instead — the same contract leaps rely on, applied to the
-        // executed steps where a core is hot but the memory system is quiet.
-        // When the controller does have work, `tick_event` services only the
-        // banks that can possibly act.
+        // The stepped oracle ticks unconditionally; the event kernel's
+        // `tick_event` services only the banks whose cached wake has come
+        // (and none at all while every wake lies beyond `now`) — the same
+        // contract leaps rely on, applied inside the executed steps where a
+        // hot core rules out a leap.
         if kernel == KernelKind::Stepped {
             self.mc.tick(now);
-        } else if !self.mc.tick_or_skip(now) {
+        } else {
             self.mc.tick_event(now);
         }
         self.uncore.tick(&mut self.mc, now);

@@ -383,8 +383,8 @@ impl Uncore {
     /// Drains the outbox into the memory controller (admission permitting) and
     /// applies responses: fills the LLC, wakes waiters, emits writebacks.
     pub fn tick<M: MemoryMap>(&mut self, mc: &mut MemController<M>, now: Cycle) {
-        // In-step wake bypass (the per-bank analogue of the controller's
-        // `tick_or_skip`): with nothing to drain and no responses waiting,
+        // In-step wake bypass (the analogue of the controller's due-driven
+        // `tick_event`): with nothing to drain and no responses waiting,
         // the body below is provably a no-op — the drain loop would not
         // enter and `take_responses` would swap an empty vector — so skip
         // the hash-map and allocator traffic entirely.

@@ -192,11 +192,10 @@ pub struct MemController<M: MemoryMap> {
     t_m: Cycle,
     /// Cached bank-local wake candidates (see [`WakeCand`]), stored as four
     /// parallel per-field arrays indexed by bank rather than an array of
-    /// structs: the wake query sweeps one field class across many banks (the
-    /// early-skip below touches only the three candidate bases), so the SoA
-    /// split keeps the hot sweep on contiguous memory. Redundant state:
-    /// rebuilt on restore, never serialized — as are the bank bitmasks below
-    /// (one bit per bank, 64 banks per word).
+    /// structs. The sweeps over many banks touch only the `due_at` bounds
+    /// below; a bank's candidates are read only once its bound has come.
+    /// Redundant state: rebuilt on restore, never serialized — as are the
+    /// dirty bitmask and the bounds below.
     wake_fixed: Vec<Cycle>,
     /// SoA column of [`WakeCand::hit_local`].
     wake_hit_local: Vec<Cycle>,
@@ -208,14 +207,25 @@ pub struct MemController<M: MemoryMap> {
     /// trusted. Set only by events that change the *bank's own* state —
     /// shared couplings (data bus, rank ACT spacing, the next-REF bound) are
     /// read live when candidates are combined, so they never dirty anything.
+    /// One bit per bank, 64 banks per word.
     dirty_mask: Vec<u64>,
-    /// Banks whose cached candidates contain at least one entry: a clear bit
-    /// (a clean idle bank) contributes nothing to the wake and is skipped
-    /// without so much as a load of its candidates.
-    active_mask: Vec<u64>,
     /// Valid bit positions in the final mask word (banks beyond `num_banks`
     /// must never be set).
     tail_mask: u64,
+    /// Per-bank lower bound on a clean bank's live wake (`Cycle::MAX` for a
+    /// clean idle bank; meaningless while the bank is dirty). Reset to
+    /// the local candidates' minimum by `refresh_wake` and raised to the
+    /// live wake whenever one is computed: shared terms only push a clean
+    /// bank's wake later (its next-REF bound moves only with its own REF,
+    /// which dirties it), so a bound once computed stays sound as time
+    /// passes.
+    due_at: Vec<Cycle>,
+    /// Lower bound on every clean bank's `due_at`: while no bank is dirty
+    /// and `now` is below it, no bank can act (see
+    /// [`MemController::tick_event`]). Rebuilt by every full walk and every
+    /// [`MemController::next_event_at`], lowered by dirty-only walks, reset
+    /// to zero on restore.
+    due_floor: Cycle,
     /// Whether the device refreshes per bank (rotating REF cursor) — cached
     /// from the immutable device config so the query avoids re-deriving it.
     per_bank_ref: bool,
@@ -304,12 +314,13 @@ impl<M: MemoryMap> MemController<M> {
             wake_hit_window_end: vec![Cycle::MAX; n],
             wake_act_local: vec![Cycle::MAX; n],
             dirty_mask: vec![0; n.div_ceil(64)],
-            active_mask: vec![0; n.div_ceil(64)],
             tail_mask: if n.is_multiple_of(64) {
                 !0
             } else {
                 (1u64 << (n % 64)) - 1
             },
+            due_at: vec![Cycle::MAX; n],
+            due_floor: Cycle::ZERO,
             per_bank_ref,
             ref_slice,
             t_data,
@@ -451,29 +462,127 @@ impl<M: MemoryMap> MemController<M> {
         self.rr_start = (self.rr_start + 1) % n;
     }
 
-    /// [`MemController::tick`] for time-skipping callers: identical
-    /// refresh processing, but the service loop visits only banks whose
-    /// cached wake candidates are non-empty (`active_mask`) or possibly
-    /// stale (`dirty_mask`). A clean inactive bank has no candidate of any
-    /// kind, so `service_bank` on it provably returns `false` without
-    /// touching state — the same property that lets the event kernel leap
-    /// over whole steps, applied bank-by-bank inside an executed step.
-    /// Buffered-write configurations never clear their dirty bits (the
-    /// cache is bypassed — see [`MemController::next_event_at`]), so the
-    /// mask walk degenerates to the full loop and stays correct.
+    /// [`MemController::tick`] for time-skipping callers, due-driven: the
+    /// same refresh processing and the same round-robin service order, but
+    /// only banks whose cached wake has come are serviced.
+    ///
+    /// * A dirty bank has its candidates recomputed in place (hot cores keep
+    ///   the event kernel from ever querying [`MemController::next_event_at`],
+    ///   so the tick itself must keep the cache warm).
+    /// * A clean bank is skipped while its `due_at` bound lies beyond `now`.
+    ///   The bound starts as its local candidates' minimum and, once that
+    ///   has come, is raised to its live wake (the candidates folded with
+    ///   the current bus, rank ACT spacing and next-REF terms by
+    ///   [`MemController::combine_cand`]); only a live wake at or before
+    ///   `now` reaches `service_bank`. Both are the lower bounds leaps
+    ///   already rely on, and shared terms only move later — within a step
+    ///   as across steps — so a bound read before another bank acts stays
+    ///   sound. A clean idle bank's bound is `Cycle::MAX`.
+    /// * When no bank is dirty and `now` is below `due_floor` (a lower bound
+    ///   on every clean bank's `due_at`) the bank walk is skipped outright:
+    ///   the step is a no-op for every bank, and only the rotation advances.
+    ///
+    /// Banks that act therefore act in the same order and on the same state
+    /// as under [`MemController::tick`], which stays the oracle. Buffered
+    /// writes (ablation) keep the unconditional loop: their cached
+    /// candidates ignore the write queues.
     pub fn tick_event(&mut self, now: Cycle) {
+        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. }) {
+            self.tick(now);
+            return;
+        }
+        // A no-op while the device wake lies beyond `now`; otherwise REF
+        // processing dirties the banks it disturbed, forcing the walk.
         self.tick_refresh(now);
+        let full = now >= self.due_floor;
+        if full || self.dirty_mask.iter().any(|&d| d != 0) {
+            self.service_due(now, full);
+        }
+        self.rr_start = (self.rr_start + 1) % self.queues.len();
+    }
+
+    /// The bank walk of [`MemController::tick_event`]: visits, in
+    /// round-robin order from `rr_start` via the set bits of the mask words,
+    /// every dirty bank plus — unless `now` is below `due_floor`, when none
+    /// can be — every clean bank whose `due_at` bound has come. Leaves
+    /// `due_floor` a lower bound on every clean bank's `due_at`.
+    fn service_due(&mut self, now: Cycle, full: bool) {
         let n = self.queues.len();
-        for i in 0..n {
-            let b = (self.rr_start + i) % n;
-            if (self.active_mask[b >> 6] | self.dirty_mask[b >> 6]) & (1u64 << (b & 63)) == 0 {
-                continue;
+        let words = self.dirty_mask.len();
+        let (next_ref, ref_cursor) = self.ref_terms();
+        let half = (self.banks_per_subch as usize).min(n);
+        // Shared rank/bus terms of the sub-channel `seg`, fetched lazily and
+        // dropped whenever a bank acts (a stale pair is still a lower bound,
+        // but a fresh one skips more banks).
+        let mut seg = usize::MAX;
+        let (mut rank_act, mut bus_free) = (Cycle::ZERO, Cycle::ZERO);
+        // A full walk sees every bank (scanned or visited), so the floor is
+        // rebuilt; a dirty-only walk leaves the unvisited banks' share of
+        // the old floor in place.
+        let mut floor = if full { Cycle::MAX } else { self.due_floor };
+        let (w0, b0) = (self.rr_start >> 6, self.rr_start & 63);
+        let mut due_w0 = 0;
+        // Word `w0` twice: its bits from `rr_start` up first, the bits below
+        // `rr_start` last, after the wrap.
+        for k in 0..=words {
+            let w = (w0 + k) % words;
+            let due = if k == words {
+                due_w0
+            } else if full {
+                let (due, later) = self.scan_due(w, now);
+                floor = floor.min(later);
+                due
+            } else {
+                0
+            };
+            let mut m = self.dirty_mask[w] | due;
+            if k == 0 {
+                due_w0 = due;
+                m &= !0u64 << b0;
+            } else if k == words {
+                m &= (1u64 << b0) - 1;
             }
-            if self.service_bank(BankId(b as u16), now) {
-                self.mark_dirty(b);
+            while m != 0 {
+                let bi = (w << 6) + m.trailing_zeros() as usize;
+                m &= m - 1;
+                if self.dirty_mask[w] & (1u64 << (bi & 63)) != 0 {
+                    self.refresh_wake(bi);
+                }
+                let mut wake = self.due_at[bi];
+                if wake <= now {
+                    if bi / half != seg {
+                        seg = bi / half;
+                        (rank_act, bus_free) = self.shared_terms(bi);
+                    }
+                    let bank_ref = self.bank_ref(bi, next_ref, ref_cursor);
+                    wake = self.combine_cand(bi, rank_act, bus_free, bank_ref);
+                    self.due_at[bi] = wake;
+                    if wake <= now && self.service_bank(BankId(bi as u16), now) {
+                        self.mark_dirty(bi);
+                        seg = usize::MAX;
+                        continue;
+                    }
+                }
+                floor = floor.min(wake);
             }
         }
-        self.rr_start = (self.rr_start + 1) % n;
+        self.due_floor = floor;
+    }
+
+    /// Branch-free scan of mask word `w`'s `due_at` bounds: the banks due by
+    /// `now`, and the earliest bound beyond it.
+    #[inline]
+    fn scan_due(&self, w: usize, now: Cycle) -> (u64, Cycle) {
+        let base = w << 6;
+        let end = (base + 64).min(self.due_at.len());
+        let mut due = 0u64;
+        let mut later = Cycle::MAX;
+        // Highest bank first, so each bit lands with a constant shift.
+        for &d in self.due_at[base..end].iter().rev() {
+            due = (due << 1) | u64::from(d <= now);
+            later = later.min(if d > now { d } else { Cycle::MAX });
+        }
+        (due, later)
     }
 
     /// Shared tick prologue: advances the device (REF / refresh-window
@@ -518,56 +627,17 @@ impl<M: MemoryMap> MemController<M> {
         }
     }
 
-    /// Single-step fast path for time-skipping callers: when the controller
-    /// is provably quiet at `now`, compensates the round-robin rotation
-    /// ([`MemController::skip_ticks`]) instead of ticking and returns `true`;
-    /// otherwise returns `false` and the caller must [`MemController::tick`].
-    ///
-    /// Quiet means every cached wake candidate is empty (`active_mask` zero),
-    /// no candidate is stale (`dirty_mask` zero — a dirty bank *might* have
-    /// work, so it forces a real tick rather than a recompute here), and the
-    /// device's next self-scheduled REF/refresh-window event lies beyond
-    /// `now`. Under those conditions a tick could issue no command, produce
-    /// no response, and move no device state — the same contract that lets
-    /// the event kernel leap over such steps wholesale — so skipping is
-    /// bitwise identical to ticking. Buffered-write configurations bypass
-    /// the cache entirely (see [`MemController::next_event_at`]) and always
-    /// tick.
-    #[inline]
-    pub fn tick_or_skip(&mut self, now: Cycle) -> bool {
-        if matches!(self.cfg.write_policy, WritePolicy::Buffered { .. }) {
-            return false;
-        }
-        let busy = self
-            .dirty_mask
-            .iter()
-            .zip(&self.active_mask)
-            .any(|(d, a)| d | a != 0);
-        if busy || self.device.next_event_at(now).is_none_or(|w| w <= now) {
-            return false;
-        }
-        self.skip_ticks(1);
-        true
-    }
-
     /// Recomputes and caches bank `bi`'s local wake candidates, clearing its
-    /// dirty bit and maintaining its active bit.
+    /// dirty bit and resetting its `due_at` bound to the candidates' minimum
+    /// (`Cycle::MAX` for an idle bank).
     fn refresh_wake(&mut self, bi: usize) {
         let cand = self.bank_wake_cand(BankId(bi as u16));
-        let active = cand.fixed != Cycle::MAX
-            || cand.hit_local != Cycle::MAX
-            || cand.act_local != Cycle::MAX;
+        self.due_at[bi] = cand.fixed.min(cand.hit_local).min(cand.act_local);
         self.wake_fixed[bi] = cand.fixed;
         self.wake_hit_local[bi] = cand.hit_local;
         self.wake_hit_window_end[bi] = cand.hit_window_end;
         self.wake_act_local[bi] = cand.act_local;
-        let (w, bit) = (bi >> 6, 1u64 << (bi & 63));
-        self.dirty_mask[w] &= !bit;
-        if active {
-            self.active_mask[w] |= bit;
-        } else {
-            self.active_mask[w] &= !bit;
-        }
+        self.dirty_mask[bi >> 6] &= !(1u64 << (bi & 63));
     }
 
     /// Derives bank `bank`'s [`WakeCand`] from current state. Mirrors the
@@ -683,7 +753,7 @@ impl<M: MemoryMap> MemController<M> {
     ///
     /// The wake is *cached*, not recomputed: every bank keeps its last
     /// derived bank-local candidates in the `wake_*` SoA columns, and only banks whose
-    /// own state changed since (tracked in `wake_dirty` — see DESIGN.md "The
+    /// own state changed since (tracked in `dirty_mask` — see DESIGN.md "The
     /// clocking contract" for the invalidation rules) are recomputed here.
     /// The shared couplings — data-bus availability, rank tRRD/tFAW spacing,
     /// the rotating next-REF bound — never dirty anything: they are read
@@ -708,66 +778,79 @@ impl<M: MemoryMap> MemController<M> {
             }
             return wake;
         }
-        // Next-REF bound, precomputed to match `DramDevice::bank_next_ref`
-        // bank-by-bank without per-bank divisions.
-        let next_ref = self.device.next_ref_at();
-        let per_bank_ref = self.per_bank_ref;
-        let ref_slice = self.ref_slice;
-        let ref_cursor = if per_bank_ref {
-            self.device.ref_cursor() as usize % n
-        } else {
-            0
-        };
-        // Shared rank/bus terms, refetched at sub-channel boundaries (the
-        // rank and sub-channel partitions coincide: both split the banks in
-        // half).
+        let (next_ref, ref_cursor) = self.ref_terms();
+        // Shared rank/bus terms, refetched at sub-channel boundaries.
         let half = (self.banks_per_subch as usize).min(n);
-        let mut seg_end = 0usize;
+        let mut seg = usize::MAX;
         let (mut rank_act, mut bus_free) = (Cycle::ZERO, Cycle::ZERO);
-        // Only banks that are active (have candidates) or dirty (might) can
-        // contribute: everything else is a clean idle bank, skipped a word
-        // (64 banks) at a time.
         for w in 0..self.dirty_mask.len() {
-            let mut m = self.active_mask[w] | self.dirty_mask[w];
+            let mut dirty = self.dirty_mask[w];
+            while dirty != 0 {
+                self.refresh_wake((w << 6) + dirty.trailing_zeros() as usize);
+                dirty &= dirty - 1;
+            }
+            // `due_at` is a lower bound on the bank's live wake (shared
+            // terms only push candidates later or disqualify them), so only
+            // banks whose bound lies below the running minimum can lower it;
+            // an idle bank's bound is `Cycle::MAX`.
+            let (mut m, _) = self.scan_due(w, wake);
             while m != 0 {
                 let bi = (w << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
-                if (self.dirty_mask[w] >> (bi & 63)) & 1 != 0 {
-                    self.refresh_wake(bi);
-                    if (self.active_mask[w] >> (bi & 63)) & 1 == 0 {
-                        continue;
-                    }
-                }
-                // Shared terms only push candidates later (or disqualify
-                // them), so `combine_cand` can never return less than the
-                // bare minimum of the local bases: banks that cannot improve
-                // the running minimum are skipped before any shared-term
-                // arithmetic, touching only the three SoA base columns.
-                let local_min = self.wake_fixed[bi]
-                    .min(self.wake_hit_local[bi])
-                    .min(self.wake_act_local[bi]);
-                if local_min >= wake {
+                if self.due_at[bi] >= wake {
                     continue;
                 }
-                if bi >= seg_end {
-                    let seg = bi / half;
-                    seg_end = (seg + 1) * half;
-                    rank_act = self.device.earliest_act_rank(BankId(bi as u16));
-                    bus_free = self.bus_free[self.subch_of(BankId(bi as u16))];
+                if bi / half != seg {
+                    seg = bi / half;
+                    (rank_act, bus_free) = self.shared_terms(bi);
                 }
-                let bank_ref = if per_bank_ref {
-                    let mut ahead = bi + n - ref_cursor;
-                    if ahead >= n {
-                        ahead -= n;
-                    }
-                    next_ref + ref_slice * ahead as u64
-                } else {
-                    next_ref
-                };
-                wake = wake.min(self.combine_cand(bi, rank_act, bus_free, bank_ref));
+                let bank_ref = self.bank_ref(bi, next_ref, ref_cursor);
+                self.due_at[bi] = self.combine_cand(bi, rank_act, bus_free, bank_ref);
+                wake = wake.min(self.due_at[bi]);
             }
         }
+        // Every bank is clean now and none wakes before `wake`: a fresh
+        // floor for `tick_event`.
+        self.due_floor = wake;
         wake
+    }
+
+    /// Bank `bi`'s shared rank ACT spacing and data-bus free time. Both are
+    /// per sub-channel (the rank and sub-channel partitions coincide: both
+    /// split the banks in half), so sweeps fetch them once per half.
+    #[inline]
+    fn shared_terms(&self, bi: usize) -> (Cycle, Cycle) {
+        let bank = BankId(bi as u16);
+        (
+            self.device.earliest_act_rank(bank),
+            self.bus_free[self.subch_of(bank)],
+        )
+    }
+
+    /// The device's next REF and rotation cursor (mod banks), read once per
+    /// sweep so [`MemController::bank_ref`] needs no per-bank division.
+    #[inline]
+    fn ref_terms(&self) -> (Cycle, usize) {
+        let cursor = if self.per_bank_ref {
+            self.device.ref_cursor() as usize % self.queues.len()
+        } else {
+            0
+        };
+        (self.device.next_ref_at(), cursor)
+    }
+
+    /// Bank `bi`'s next-REF bound, equal to `DramDevice::bank_next_ref`.
+    #[inline]
+    fn bank_ref(&self, bi: usize, next_ref: Cycle, ref_cursor: usize) -> Cycle {
+        if !self.per_bank_ref {
+            return next_ref;
+        }
+        let n = self.queues.len();
+        let mut ahead = bi + n - ref_cursor;
+        if ahead >= n {
+            ahead -= n;
+        }
+        next_ref + self.ref_slice * ahead as u64
     }
 
     /// Folds the live shared terms into a bank's cached local candidates:
@@ -1296,7 +1379,7 @@ impl<M: MemoryMap> MemController<M> {
     /// marked dirty and recomputed lazily on the next query or tick.
     fn rebuild_caches(&mut self) {
         self.mark_all_dirty();
-        self.active_mask.fill(0);
+        self.due_floor = Cycle::ZERO;
         for bi in 0..self.queues.len() {
             self.deferred[bi] = self.queues[bi]
                 .iter()

@@ -1,9 +1,10 @@
 //! Property tests for the dirty-tracked wake cache and the indexed-queue
 //! fast paths: after *every* mutation, the cached
 //! [`MemController::next_event_at`] must equal the full-scan oracle
-//! (`fresh_next_event_at`), and the event-kernel tick variants
-//! (`tick_or_skip` + `tick_event`) must leave the controller bitwise
-//! identical to unconditional ticking.
+//! (`fresh_next_event_at`), and the event kernel's due-driven `tick_event`
+//! must leave the controller bitwise identical to unconditional ticking —
+//! both when a wake query follows every step (the leap path) and when none
+//! ever does (the hot-core path).
 //!
 //! Op sequences are generated from a proptest-drawn seed via the repo's own
 //! [`DetRng`] (the vendored proptest shim has no collection strategies), so
@@ -179,9 +180,9 @@ proptest! {
     }
 
     /// Driving the same op sequence through the stepped tick and through the
-    /// event-kernel fast paths (`tick_or_skip`, then `tick_event`) leaves two
-    /// controllers in bitwise-identical state with identical responses: the
-    /// work the fast paths elide is provably dead.
+    /// event kernel's `tick_event` leaves two controllers in
+    /// bitwise-identical state with identical responses: the work the
+    /// due-driven walk elides is provably dead.
     #[test]
     fn event_tick_variants_are_bitwise_identical_to_stepped_tick(
         cfg_bits in 0u8..16,
@@ -203,16 +204,12 @@ proptest! {
                 McOp::Tick { steps } => {
                     for _ in 0..steps {
                         now_e += STEP;
-                        if !event.tick_or_skip(now_e) {
-                            event.tick_event(now_e);
-                        }
+                        event.tick_event(now_e);
                     }
                 }
                 McOp::Jump { ns } => {
                     now_e += Cycle::from_ns(ns);
-                    if !event.tick_or_skip(now_e) {
-                        event.tick_event(now_e);
-                    }
+                    event.tick_event(now_e);
                 }
                 other => apply(&mut event, &mut now_e, lines, other, &mut id_e),
             }
@@ -220,6 +217,52 @@ proptest! {
             // (a wake query follows every executed step).
             let _ = event.next_event_at(now_e);
             prop_assert_eq!(stepped.take_responses(), event.take_responses());
+        }
+        prop_assert_eq!(snapshot_bytes(&stepped), snapshot_bytes(&event));
+    }
+
+    /// The hot-core path: the event kernel never reaches a wake query while
+    /// a core is hot, so here `next_event_at` is never called and dirty
+    /// banks are refreshed by `tick_event` alone. Every step is followed by
+    /// a chance of a fresh enqueue (dirtying a bank between consecutive
+    /// ticks, as a core's miss stream does), and responses plus the final
+    /// snapshot bytes must still equal the stepped tick's. `wide` swaps in
+    /// 128 banks, so the round-robin walk spans two mask words.
+    #[test]
+    fn hot_core_event_ticks_without_wake_queries_match_stepped_tick(
+        cfg_bits in 0u8..16,
+        wide in 0u8..2,
+        seed in 0u64..1000,
+        op_seed in any::<u64>(),
+    ) {
+        let (mc_cfg, mut dram_cfg) = decode_config(cfg_bits);
+        if wide == 1 {
+            dram_cfg.geometry.num_banks = 128;
+        }
+        let lines = dram_cfg.geometry.total_lines();
+        let mut stepped = build(mc_cfg, dram_cfg.clone(), seed);
+        let mut event = build(mc_cfg, dram_cfg, seed);
+        let mut rng = DetRng::seeded(op_seed);
+        let mut now = Cycle::from_ns(50);
+        let mut id = 0u64;
+        for _ in 0..400 {
+            now += STEP;
+            if rng.gen_range(8) == 0 {
+                now += Cycle::from_ns(100 + rng.gen_range(3900));
+            }
+            stepped.tick(now);
+            event.tick_event(now);
+            prop_assert_eq!(stepped.take_responses(), event.take_responses());
+            for _ in 0..rng.gen_range(3) {
+                id += 1;
+                let req = MemRequest {
+                    id,
+                    core: 0,
+                    line: LineAddr(rng.next_u64() % lines),
+                    is_write: rng.gen_bool(0.3),
+                };
+                prop_assert_eq!(stepped.enqueue(req, now), event.enqueue(req, now));
+            }
         }
         prop_assert_eq!(snapshot_bytes(&stepped), snapshot_bytes(&event));
     }

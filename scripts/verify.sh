@@ -18,8 +18,10 @@ echo "== cargo build --release --workspace =="
 # experiment child binaries run_all launches can go stale.
 cargo build --release --workspace
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test --workspace -q =="
+# --workspace: every crate's unit and integration tests (the wake-cache
+# proptests, campaign daemon, fuzzer lanes), not just the root package.
+cargo test --workspace -q
 
 echo "== snapshot golden digest gate =="
 # The pinned 64-bit digest of a mid-run system snapshot: catches both
